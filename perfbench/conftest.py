@@ -1,0 +1,8 @@
+"""Put the program's source on the path for ``python -m pytest perfbench``."""
+
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
