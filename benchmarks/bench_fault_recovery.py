@@ -86,7 +86,7 @@ def test_transient_read_recovery(once):
 
 def test_crash_campaign(once):
     campaign = CrashCampaign(cuts=50, seed=0)
-    stats = once(campaign.run)
+    stats = once(campaign.run).stats
 
     table = Table(
         title="Crash-consistency campaign (50 seeded power cuts)",

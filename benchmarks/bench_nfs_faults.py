@@ -102,7 +102,7 @@ def test_goodput_vs_loss_rate(once):
 
 def test_net_campaign(once):
     campaign = NetCampaign(seeds=20)
-    stats = once(campaign.run)
+    stats = once(campaign.run).stats
 
     table = Table(
         title="Network-fault campaign (20 seeded schedules)",

@@ -43,10 +43,9 @@ Commands:
   selected metrics namespaces (``series``);
 * ``demo`` — a short guided tour (quickstart + fsck).
 
-``iobench``, ``faultcampaign``, and ``netcampaign`` accept ``--sanitize``
-to run with the cross-layer invariant sanitizer enabled (see
-``repro.sim.invariants``); the ``REPRO_SANITIZE`` environment variable
-sets the default.
+``iobench`` and every campaign accept ``--sanitize`` to run with the
+cross-layer invariant sanitizer enabled (see ``repro.sim.invariants``);
+it is shorthand for ``REPRO_SANITIZE=1``, the one sanitizer switch.
 
 Every command with ``--json`` accepts it bare (or as ``--json -``) to
 write the JSON document to **stdout** with all human progress routed to
@@ -56,6 +55,7 @@ stderr, so ``python -m repro <cmd> --json | jq .`` just works.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 
@@ -75,6 +75,22 @@ def _add_json_flag(parser: argparse.ArgumentParser, help_text: str) -> None:
         "--json", nargs="?", const="-", default="", metavar="PATH",
         help=help_text + " (bare --json writes it to stdout; human "
                          "output then goes to stderr)")
+
+
+def _add_sanitize_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--sanitize", action="store_true",
+        help="run with the cross-layer invariant sanitizer on "
+             "(same as REPRO_SANITIZE=1)")
+
+
+def _add_campaign_flags(parser: argparse.ArgumentParser, build,
+                        json_help: str) -> None:
+    """``--sanitize`` and ``--json`` for a campaign command, whose
+    ``build(args)`` returns ``(campaign, banner line)``."""
+    _add_sanitize_flag(parser)
+    _add_json_flag(parser, json_help)
+    parser.set_defaults(fn=_cmd_campaign, campaign=build)
 
 
 def _cmd_iobench(args: argparse.Namespace) -> int:
@@ -105,8 +121,7 @@ def _cmd_iobench(args: argparse.Namespace) -> int:
         if overrides:
             config = dataclasses.replace(config, **overrides)
         bench = IObench(config, file_size=args.file_mb * MB,
-                        trace_phase="FSR" if tracing and not benches else None,
-                        sanitize=True if args.sanitize else None)
+                        trace_phase="FSR" if tracing and not benches else None)
         full = bench.run()
         results[name] = full.rates
         benches.append(bench)
@@ -209,141 +224,64 @@ def _write_json(path: str, document: dict, say=print) -> None:
     say(f"wrote {path}")
 
 
-def _cmd_faultcampaign(args: argparse.Namespace) -> int:
+def _faultcampaign(args: argparse.Namespace):
     from repro.faults import CrashCampaign
 
-    say = _emit(args)
-    if args.cuts < 1:
-        print("faultcampaign: --cuts must be >= 1", file=sys.stderr)
-        return 2
-    campaign = CrashCampaign(cuts=args.cuts, seed=args.seed,
-                             trace=args.trace,
-                             sanitize=True if args.sanitize else None)
-    say(f"running {args.cuts} seeded power cuts (seed={args.seed})...")
-    stats = campaign.run()
-    say(stats)
-    if args.trace:
-        for record in campaign.trace_records:
-            if record.tag == "power_cut":
-                say(record.describe())
-    if args.json:
-        _write_json(args.json, campaign.to_json(), say)
-    failed = (stats.silent_corruptions > 0
-              or stats.clean_after_repair < stats.cuts)
-    if failed:
-        say("FAILED: corruption or unrepaired damage detected")
-    return 1 if failed else 0
+    return (CrashCampaign(cuts=args.cuts, seed=args.seed),
+            f"running {args.cuts} seeded power cuts (seed={args.seed})...")
 
 
-def _cmd_netcampaign(args: argparse.Namespace) -> int:
+def _netcampaign(args: argparse.Namespace):
     from repro.faults import NetCampaign
 
-    say = _emit(args)
-    if args.seeds < 1:
-        print("netcampaign: --seeds must be >= 1", file=sys.stderr)
-        return 2
-    campaign = NetCampaign(seeds=args.seeds, base_seed=args.seed,
-                           sanitize=True if args.sanitize else None)
-    say(f"running {args.seeds} seeded network-fault schedules "
-        f"(base seed={args.seed}) over an NFS workload...")
-    stats = campaign.run()
-    say(stats)
-    if args.json:
-        _write_json(args.json, campaign.to_json(), say)
-    if not stats.ok:
-        say("FAILED: an RPC-hardening invariant was violated")
-        return 1
-    if stats.retransmits == 0 or stats.drc_hits == 0:
-        say("FAILED: the sweep never exercised retransmission / the "
-            "duplicate-request cache (fault injection inert?)")
-        return 1
-    return 0
+    return (NetCampaign(seeds=args.seeds, base_seed=args.seed),
+            f"running {args.seeds} seeded network-fault schedules "
+            f"(base seed={args.seed}) over an NFS workload...")
 
 
-def _cmd_memberkill(args: argparse.Namespace) -> int:
+def _memberkill(args: argparse.Namespace):
     from repro.faults import MirrorKillCampaign
 
+    return (MirrorKillCampaign(seeds=args.seeds, base_seed=args.seed),
+            f"killing one mirror member per seed ({args.seeds} seeds, "
+            f"base seed={args.seed}): degraded reads, zero acknowledged "
+            "loss, resync back to byte-identical members...")
+
+
+def _crashpoints(args: argparse.Namespace):
+    from repro.faults import CrashpointExplorer
+
+    explorer = CrashpointExplorer(preset=args.preset, seed=args.seed,
+                                  max_states=args.max_states)
+    return (explorer,
+            f"exploring crash states of preset {explorer.preset.name!r} "
+            f"(seed={args.seed}): {explorer.preset.description}...")
+
+
+def _scrubcampaign(args: argparse.Namespace):
+    from repro.integrity import ScrubCampaign
+
+    return (ScrubCampaign(seed=args.seed),
+            f"injecting seeded silent corruption and scrubbing "
+            f"(seed={args.seed})...")
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    """The one driver for every fault campaign: build it from the flags
+    (a rejected flag is exit 2), run it, print its human lines, write its
+    JSON document; exit 0 when it holds, 1 when it fails."""
     say = _emit(args)
-    if args.seeds < 1:
-        print("memberkill: --seeds must be >= 1", file=sys.stderr)
+    try:
+        campaign, banner = args.campaign(args)
+    except ValueError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
-    campaign = MirrorKillCampaign(seeds=args.seeds, base_seed=args.seed,
-                                  sanitize=True if args.sanitize else None)
-    say(f"killing one mirror member per seed ({args.seeds} seeds, "
-        f"base seed={args.seed}): degraded reads, zero acknowledged "
-        "loss, resync back to byte-identical members...")
-    stats = campaign.run()
-    say(stats)
+    say(banner)
+    result = campaign.run()
+    say(result)
     if args.json:
-        _write_json(args.json, campaign.to_json(), say)
-    if not stats.ok:
-        say("FAILED: a mirror-redundancy invariant was violated")
-        return 1
-    return 0
-
-
-def _cmd_crashpoints(args: argparse.Namespace) -> int:
-    from repro.faults import PRESETS, run_crashpoints
-
-    say = _emit(args)
-    preset = PRESETS.get(args.preset)
-    if preset is None:
-        print(f"crashpoints: unknown preset {args.preset!r} "
-              f"(have {', '.join(sorted(PRESETS))})", file=sys.stderr)
-        return 2
-    say(f"exploring crash states of preset {preset.name!r} "
-        f"(seed={args.seed}): {preset.description}...")
-    report = run_crashpoints(
-        preset=args.preset, seed=args.seed,
-        sanitize=True if args.sanitize else None,
-        max_states=args.max_states,
-        json_path=args.json if args.json not in ("", "-") else None)
-    d = report.to_json()
-    for key in ("journal_events", "contract_events", "durability_points",
-                "crash_points", "raw_states", "distinct_states",
-                "fsck_repairs"):
-        say(f"{key:22} {d[key]}")
-    say(f"{'digest':22} {report.digest}")
-    if report.states_truncated:
-        say(f"NOTE: enumeration truncated at --max-states="
-            f"{args.max_states}; coverage is partial")
-    if args.json == "-":
-        _write_json("-", d, say)
-    elif args.json:
-        say(f"wrote {args.json}")
-    if not report.ok:
-        say(f"FAILED: {len(report.violations)} durability-contract "
-            "violation(s)")
-        for v in report.violations[:10]:
-            say(f"  [{v.category}] {v.detail} (crash point "
-                f"{v.event_index}, torn={v.torn})")
-            for span in v.spans[:1]:
-                say("    " + span.replace("\n", "\n    "))
-        return 1
-    say("OK: every distinct crash state repaired, remounted, and kept "
-        "its durability promises")
-    return 0
-
-
-def _cmd_scrubcampaign(args: argparse.Namespace) -> int:
-    from repro.integrity import run_scrubcampaign
-
-    say = _emit(args)
-    say(f"injecting seeded silent corruption and scrubbing "
-        f"(seed={args.seed})...")
-    campaign = run_scrubcampaign(
-        seed=args.seed, sanitize=True if args.sanitize else None,
-        json_path=args.json if args.json not in ("", "-") else None,
-        out=say)
-    if args.json == "-":
-        _write_json("-", campaign.to_json(), say)
-    if not campaign.stats.ok:
-        say("FAILED: a corruption went undetected, misrepaired, or "
-            "surfaced without EIO semantics")
-        return 1
-    say("OK: every injected corruption detected; repairable ones "
-        "repaired byte-exact, the rest surfaced as precise EIO")
-    return 0
+        _write_json(args.json, result.to_json(), say)
+    return 0 if result.ok else 1
 
 
 def _cmd_simcheck(args: argparse.Namespace) -> int:
@@ -527,8 +465,7 @@ def main(argv: "list[str] | None" = None) -> int:
     p.add_argument("--trace-jsonl", default="", metavar="PATH",
                    help="trace the sequential-read phase of the first "
                         "config; write records+spans as JSON lines to PATH")
-    p.add_argument("--sanitize", action="store_true",
-                   help="run with the cross-layer invariant sanitizer on")
+    _add_sanitize_flag(p)
     p.set_defaults(fn=_cmd_iobench)
 
     p = sub.add_parser("cpubench", help="figure 12 CPU comparison")
@@ -552,12 +489,8 @@ def main(argv: "list[str] | None" = None) -> int:
     p.add_argument("--cuts", type=int, default=50,
                    help="number of seeded power-cut points (default 50)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace", action="store_true",
-                   help="print a per-cut trace summary")
-    p.add_argument("--sanitize", action="store_true",
-                   help="run with the cross-layer invariant sanitizer on")
-    _add_json_flag(p, "write per-cut outcomes and repair actions to PATH")
-    p.set_defaults(fn=_cmd_faultcampaign)
+    _add_campaign_flags(p, _faultcampaign,
+                        "write per-cut outcomes and repair actions to PATH")
 
     p = sub.add_parser("netcampaign",
                        help="seeded network-fault sweep over NFS")
@@ -565,10 +498,7 @@ def main(argv: "list[str] | None" = None) -> int:
                    help="number of seeded fault schedules (default 20)")
     p.add_argument("--seed", type=int, default=0,
                    help="base seed (schedules use seed..seed+seeds-1)")
-    p.add_argument("--sanitize", action="store_true",
-                   help="run with the cross-layer invariant sanitizer on")
-    _add_json_flag(p, "write per-seed outcomes to PATH")
-    p.set_defaults(fn=_cmd_netcampaign)
+    _add_campaign_flags(p, _netcampaign, "write per-seed outcomes to PATH")
 
     p = sub.add_parser("memberkill",
                        help="seeded mirror-member-death sweep: degraded "
@@ -577,10 +507,7 @@ def main(argv: "list[str] | None" = None) -> int:
                    help="number of seeded member kills (default 10)")
     p.add_argument("--seed", type=int, default=0,
                    help="base seed (kills use seed..seed+seeds-1)")
-    p.add_argument("--sanitize", action="store_true",
-                   help="run with the cross-layer invariant sanitizer on")
-    _add_json_flag(p, "write per-seed outcomes to PATH")
-    p.set_defaults(fn=_cmd_memberkill)
+    _add_campaign_flags(p, _memberkill, "write per-seed outcomes to PATH")
 
     p = sub.add_parser("crashpoints",
                        help="exhaustive crash-state exploration over a "
@@ -592,21 +519,16 @@ def main(argv: "list[str] | None" = None) -> int:
                    help="payload seed (default 0)")
     p.add_argument("--max-states", type=int, default=20000,
                    help="raw crash-state budget (default 20000)")
-    p.add_argument("--sanitize", action="store_true",
-                   help="run with the cross-layer invariant sanitizer on "
-                        "(recording and every survivor)")
-    _add_json_flag(p, "write the full report (violations included) to PATH")
-    p.set_defaults(fn=_cmd_crashpoints)
+    _add_campaign_flags(p, _crashpoints,
+                        "write the full report (violations included) to PATH")
 
     p = sub.add_parser("scrubcampaign",
                        help="seeded silent-corruption injection + scrub/"
                             "repair audit")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sanitize", action="store_true",
-                   help="run with the cross-layer invariant sanitizer on")
-    _add_json_flag(p, "write per-injection outcomes and the seed-stable "
-                      "digest to PATH")
-    p.set_defaults(fn=_cmd_scrubcampaign)
+    _add_campaign_flags(p, _scrubcampaign,
+                        "write per-injection outcomes and the seed-stable "
+                        "digest to PATH")
 
     p = sub.add_parser("simcheck",
                        help="determinism differ + sanitized benchmark run")
@@ -621,7 +543,7 @@ def main(argv: "list[str] | None" = None) -> int:
     p.add_argument("--seed", type=int, default=1991)
     _add_json_flag(p, "write both runs' digests/rates/counts and the "
                       "verdict to PATH")
-    p.set_defaults(fn=_cmd_simcheck)
+    p.set_defaults(fn=_cmd_simcheck, sanitize=True)
 
     p = sub.add_parser("bench",
                        help="unified perf bench: BENCH.json + optional "
@@ -691,6 +613,10 @@ def main(argv: "list[str] | None" = None) -> int:
     p.set_defaults(fn=_cmd_demo)
 
     args = parser.parse_args(argv)
+    if getattr(args, "sanitize", False):
+        from repro.sim.invariants import ENV_SWITCH
+
+        os.environ[ENV_SWITCH] = "1"
     return args.fn(args)
 
 

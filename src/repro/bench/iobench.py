@@ -53,7 +53,6 @@ class IObench:
                  record_size: int = 8 * KB, random_ops: int = 2048,
                  seed: int = 1991, path: str = "/iobench.dat",
                  trace_phase: "str | None" = None,
-                 sanitize: "bool | None" = None,
                  telemetry_interval: "float | None" = None,
                  telemetry_namespaces: "list[str] | None" = None):
         if file_size % record_size:
@@ -71,9 +70,6 @@ class IObench:
         #: ``"*"`` traces every phase — what ``python -m repro bench``
         #: needs to attribute the whole run's time, at ~5x trace volume.
         self.trace_phase = trace_phase
-        #: Force the invariant sanitizer on (True) or off (False) for this
-        #: run; None keeps the REPRO_SANITIZE environment default.
-        self.sanitize = sanitize
         #: Sample the metrics registry every this many simulated seconds
         #: during the run (None = no telemetry); the recorder lands on
         #: ``self.telemetry`` for series reads after :meth:`run`.
@@ -203,8 +199,6 @@ class IObench:
     def run(self) -> IObenchResult:
         """FSW, FSU, FSR, FRR, FRU — in an order that sets up each phase."""
         system = System.booted(self.config)
-        if self.sanitize is not None:
-            system.sanitizer.enabled = self.sanitize
         if self.telemetry_interval is not None:
             self.telemetry = system.start_telemetry(
                 self.telemetry_interval, self.telemetry_namespaces)

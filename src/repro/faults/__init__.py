@@ -33,7 +33,7 @@ from repro.faults.campaign import (
     CampaignStats, CrashCampaign, default_campaign_config,
 )
 from repro.faults.crashpoints import (
-    CrashpointExplorer, CrashpointReport, PRESETS, run_crashpoints,
+    CrashpointExplorer, CrashpointReport, PRESETS,
 )
 from repro.faults.memberkill import (
     MemberKillStats, MirrorKillCampaign, default_memberkill_config,
@@ -54,7 +54,6 @@ __all__ = [
     "CrashpointExplorer",
     "CrashpointReport",
     "PRESETS",
-    "run_crashpoints",
     "FaultDecision",
     "FaultKind",
     "FaultPlan",

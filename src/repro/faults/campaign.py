@@ -37,8 +37,6 @@ from repro.kernel.system import System
 from repro.sim.engine import SimulationError
 from repro.sim.events import EventFailed
 from repro.sim.invariants import SanitizerError
-from repro.sim.stats import StatSet
-from repro.sim.trace import TraceRecord
 from repro.ufs.fsck import fsck
 from repro.units import KB
 
@@ -50,8 +48,45 @@ def default_campaign_config() -> SystemConfig:
                                       sectors_per_track=32))
 
 
+class StatsTable:
+    """``as_dict`` and the aligned human table, for campaign stats
+    dataclasses."""
+
+    def as_dict(self) -> "dict[str, Any]":
+        return asdict(self)  # type: ignore[call-overload]
+
+    def __str__(self) -> str:
+        return "\n".join(f"{k:26} {v}" for k, v in self.as_dict().items())
+
+
+class CampaignResult:
+    """The contract every campaign's ``run()`` result keeps: ``ok`` (the
+    one verdict, shared by the exit code and the JSON document), the
+    human lines (``__str__``), and ``to_json()``.
+
+    The sweep campaigns return themselves from ``run()``; their verdict is
+    their stats' ``ok`` and their human lines are the stats table plus one
+    verdict line (``passed`` / ``failed`` say what each outcome means).
+    """
+
+    stats: Any
+    passed = ""
+    failed = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.stats.ok
+
+    @property
+    def verdict(self) -> str:
+        return f"OK: {self.passed}" if self.ok else f"FAILED: {self.failed}"
+
+    def __str__(self) -> str:
+        return f"{self.stats}\n{self.verdict}"
+
+
 @dataclass
-class CampaignStats:
+class CampaignStats(StatsTable):
     """Aggregated results of one sweep; byte-identical for a given seed."""
 
     cuts: int = 0
@@ -64,21 +99,23 @@ class CampaignStats:
     silent_corruptions: int = 0
     data_bytes_lost: int = 0
 
-    def as_dict(self) -> "dict[str, int]":
-        return asdict(self)
+    @property
+    def ok(self) -> bool:
+        """True when fsync kept every promise and fsck repaired every cut."""
+        return (self.silent_corruptions == 0
+                and self.clean_after_repair == self.cuts)
 
-    def __str__(self) -> str:  # pragma: no cover - CLI convenience
-        return "\n".join(f"{k:26} {v}" for k, v in self.as_dict().items())
 
-
-class CrashCampaign:
+class CrashCampaign(CampaignResult):
     """Run the workload, cut power at ``cuts`` seeded instants, and make
     fsck answer for every inconsistency the torn writes produced."""
 
+    passed = "fsck repaired every cut and every fsynced byte survived"
+    failed = "corruption or unrepaired damage detected"
+
     def __init__(self, cuts: int = 50, seed: int = 0, nfiles: int = 10,
                  file_bytes: int = 48 * KB,
-                 config: "SystemConfig | None" = None, trace: bool = False,
-                 sanitize: "bool | None" = None):
+                 config: "SystemConfig | None" = None):
         if cuts < 1:
             raise ValueError("cuts must be >= 1")
         self.cuts = cuts
@@ -86,14 +123,7 @@ class CrashCampaign:
         self.nfiles = nfiles
         self.file_bytes = file_bytes
         self.config = config if config is not None else default_campaign_config()
-        self.trace = trace
-        #: Force the invariant sanitizer on/off; None keeps the
-        #: REPRO_SANITIZE environment default.
-        self.sanitize = sanitize
         self.stats = CampaignStats()
-        #: The same numbers as a StatSet, for sim/stats consumers.
-        self.statset = StatSet("campaign")
-        self.trace_records: "list[TraceRecord]" = []
         #: One dict per cut (seeded outcome + fsck repair actions),
         #: JSON-ready; filled by :meth:`run`.
         self.records: "list[dict]" = []
@@ -134,14 +164,10 @@ class CrashCampaign:
                 if cut_time is not None else None)
         state = {"durable": {}, "written": 0, "unlinked": 0, "booted_at": 0.0}
         system = System(self.config, fault_plan=plan)
-        if self.sanitize is not None:
-            system.sanitizer.enabled = self.sanitize
         system.mkfs()
         try:
             system.run(system.mount_fs())
             state["booted_at"] = system.now
-            if self.trace:
-                system.tracer.enabled = True
             proc = Proc(system)
             system.run(self._workload(proc, state), name="campaign-workload")
             system.sync()
@@ -166,7 +192,7 @@ class CrashCampaign:
         return data
 
     # -- the sweep ---------------------------------------------------------
-    def run(self) -> CampaignStats:
+    def run(self) -> "CrashCampaign":
         # Rehearsal: learn the workload's fault-free duration (and the boot
         # time) so the cut instants land inside the interesting window.
         rehearsal, _, r_state = self._one_run(None)
@@ -196,8 +222,6 @@ class CrashCampaign:
             # Remount the repaired bytes and hold fsync to its word.
             durable = state["durable"]
             survivor = System.remounted(store, self.config)
-            if self.sanitize is not None:
-                survivor.sanitizer.enabled = self.sanitize
             proc = Proc(survivor)
             cut_corruptions = 0
             for path in sorted(durable):
@@ -232,25 +256,13 @@ class CrashCampaign:
                 "data_bytes_at_risk": state["written"] - sum(
                     len(v) for v in durable.values()),
             })
-            if self.trace:
-                self.trace_records.extend(system.tracer.records)
-                self.trace_records.append(TraceRecord(
-                    cut, "power_cut",
-                    {"findings": len(report.findings),
-                     "repairs": len(report.repairs),
-                     "clean_after_repair": verify.clean},
-                ))
-        for key, value in s.as_dict().items():
-            self.statset.incr(key, value)
-        return s
+        return self
 
     def to_json(self) -> dict:
         """The sweep as one JSON-ready document (stats + per-cut records)."""
-        s = self.stats
         return {
             "seed": self.seed,
-            "stats": s.as_dict(),
+            "stats": self.stats.as_dict(),
             "cuts": self.records,
-            "ok": (s.silent_corruptions == 0
-                   and s.clean_after_repair == s.cuts),
+            "ok": self.ok,
         }

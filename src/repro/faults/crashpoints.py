@@ -40,7 +40,6 @@ or torn, so a contract breach points at the guilty code path.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Any, Generator
@@ -436,6 +435,27 @@ class CrashpointReport:
             "ok": self.ok,
         }
 
+    def __str__(self) -> str:
+        lines = [f"{key:26} {getattr(self, key)}" for key in (
+            "journal_events", "contract_events", "durability_points",
+            "crash_points", "raw_states", "distinct_states", "fsck_repairs",
+            "digest")]
+        if self.states_truncated:
+            lines.append("NOTE: enumeration truncated at the raw-state "
+                         "budget; coverage is partial")
+        if self.ok:
+            lines.append("OK: every distinct crash state repaired, "
+                         "remounted, and kept its durability promises")
+            return "\n".join(lines)
+        lines.append(f"FAILED: {len(self.violations)} durability-contract "
+                     "violation(s)")
+        for v in self.violations[:10]:
+            lines.append(f"  [{v.category}] {v.detail} (crash point "
+                         f"{v.event_index}, torn={v.torn})")
+            lines.extend("    " + span.replace("\n", "\n    ")
+                         for span in v.spans[:1])
+        return "\n".join(lines)
+
 
 # ---------------------------------------------------------------------------
 # the explorer
@@ -479,7 +499,6 @@ class CrashpointExplorer:
     bounded-legal crash state of it."""
 
     def __init__(self, preset: "str | Preset" = "smoke", seed: int = 0,
-                 sanitize: "bool | None" = None,
                  max_states: "int | None" = 20000,
                  window: "int | None" = None,
                  torn_limit: "int | None" = None,
@@ -493,7 +512,6 @@ class CrashpointExplorer:
                 ) from None
         self.preset = preset
         self.seed = seed
-        self.sanitize = sanitize
         self.max_states = max_states
         self.window = window if window is not None else preset.window
         self.torn_limit = (torn_limit if torn_limit is not None
@@ -522,8 +540,6 @@ class CrashpointExplorer:
     # -- recording ---------------------------------------------------------
     def _record(self):
         system = System(self.record_config)
-        if self.sanitize is not None:
-            system.sanitizer.enabled = self.sanitize
         system.mkfs()
         system.run(system.mount_fs(), name="crashpoints-mount")
         system.sync()  # quiesce: the base image below is fully durable
@@ -718,8 +734,6 @@ class CrashpointExplorer:
             return problems, len(report.repairs)
         try:
             survivor = System.remounted(img, self.verify_config)
-            if self.sanitize is not None:
-                survivor.sanitizer.enabled = self.sanitize
             proc = Proc(survivor, name="crashpoints-verify")
             for path in sorted(slots):
                 problems.extend(self._check_slot(survivor, proc, path,
@@ -874,18 +888,3 @@ class CrashpointExplorer:
         digest = hashlib.sha256("\n".join(sorted(lines)).encode())
         report.digest = digest.hexdigest()
         return report
-
-
-def run_crashpoints(preset: str = "smoke", seed: int = 0,
-                    sanitize: "bool | None" = None,
-                    max_states: "int | None" = 20000,
-                    json_path: "str | None" = None) -> CrashpointReport:
-    """One-call entry point (the ``python -m repro crashpoints`` core)."""
-    explorer = CrashpointExplorer(preset=preset, seed=seed, sanitize=sanitize,
-                                  max_states=max_states)
-    report = explorer.run()
-    if json_path is not None:
-        with open(json_path, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return report

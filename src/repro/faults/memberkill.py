@@ -31,29 +31,28 @@ produces the same kill and the same verdict every time.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any
 
-from repro.disk.geometry import DiskGeometry
+from repro.faults.campaign import (
+    CampaignResult, StatsTable, default_campaign_config,
+)
 from repro.faults.plan import FaultPlan
 from repro.kernel.config import SystemConfig
 from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
-from repro.sim.stats import StatSet
 from repro.ufs.fsck import fsck
 from repro.units import KB
 
 
 def default_memberkill_config() -> SystemConfig:
     """A small mirrored machine so dozens of kill/resync cycles stay fast."""
-    return SystemConfig.config_a().with_(
-        geometry=DiskGeometry.uniform(cylinders=120, heads=2,
-                                      sectors_per_track=32),
+    return default_campaign_config().with_(
         layout="mirror:2", write_cache=True, checksums=True)
 
 
 @dataclass
-class MemberKillStats:
+class MemberKillStats(StatsTable):
     """Aggregated results of one sweep; byte-identical for a given seed."""
 
     runs: int = 0
@@ -71,9 +70,6 @@ class MemberKillStats:
     resync_mismatches: int = 0
     post_resync_failures: int = 0
 
-    def as_dict(self) -> "dict[str, int]":
-        return asdict(self)
-
     @property
     def ok(self) -> bool:
         """True when every redundancy invariant held across the sweep."""
@@ -85,18 +81,18 @@ class MemberKillStats:
                 and self.resync_mismatches == 0
                 and self.post_resync_failures == 0)
 
-    def __str__(self) -> str:  # pragma: no cover - CLI convenience
-        return "\n".join(f"{k:26} {v}" for k, v in self.as_dict().items())
 
-
-class MirrorKillCampaign:
+class MirrorKillCampaign(CampaignResult):
     """Sweep seeded mirror-member deaths and make the redundancy answer
     for every acknowledged byte."""
 
+    passed = ("every kill fired, degraded reads and the survivor alone "
+              "served every acknowledged byte, and resync converged")
+    failed = "a mirror-redundancy invariant was violated"
+
     def __init__(self, seeds: int = 10, base_seed: int = 0,
                  max_files: int = 24,
-                 config: "SystemConfig | None" = None,
-                 sanitize: "bool | None" = None):
+                 config: "SystemConfig | None" = None):
         if seeds < 1:
             raise ValueError("seeds must be >= 1")
         self.seeds = seeds
@@ -106,12 +102,7 @@ class MirrorKillCampaign:
                        else default_memberkill_config())
         if not self.config.layout.startswith("mirror"):
             raise ValueError("memberkill needs a mirror layout")
-        #: Force the invariant sanitizer on/off for every machine of the
-        #: sweep; None keeps the REPRO_SANITIZE environment default.
-        self.sanitize = sanitize
         self.stats = MemberKillStats()
-        #: The same numbers as a StatSet, for sim/stats consumers.
-        self.statset = StatSet("memberkill")
         #: One dict per seeded run (kill schedule + verdict), JSON-ready.
         self.records: list[dict[str, Any]] = []
 
@@ -123,8 +114,6 @@ class MirrorKillCampaign:
         plans = [None, None]
         plans[victim_idx] = FaultPlan(seed=seed, die_at=die_at)
         system = System.booted(self.config, fault_plan=plans)
-        if self.sanitize is not None:
-            system.sanitizer.enabled = self.sanitize
         proc = Proc(system, name=f"kill{seed}")
         volume = system.volume
         victim = volume.members[victim_idx]
@@ -203,8 +192,6 @@ class MirrorKillCampaign:
             record["survivor_fsck"] = "dirty"
         solo = System.remounted(
             clone, self.config.with_(layout="single", write_cache=False))
-        if self.sanitize is not None:
-            solo.sanitizer.enabled = self.sanitize
         sproc = Proc(solo, name="survivor")
         lost = 0
         for path, payload in acked.items():
@@ -247,13 +234,11 @@ class MirrorKillCampaign:
         return record
 
     # -- the sweep ---------------------------------------------------------
-    def run(self) -> MemberKillStats:
+    def run(self) -> "MirrorKillCampaign":
         for seed in range(self.base_seed, self.base_seed + self.seeds):
             self.stats.runs += 1
             self.records.append(self._run_one(seed))
-        for key, value in self.stats.as_dict().items():
-            self.statset.incr(key, value)
-        return self.stats
+        return self
 
     def to_json(self) -> dict:
         """The sweep as one JSON-ready document (stats + per-seed records)."""
@@ -261,5 +246,5 @@ class MirrorKillCampaign:
             "base_seed": self.base_seed,
             "stats": self.stats.as_dict(),
             "runs": self.records,
-            "ok": self.stats.ok,
+            "ok": self.ok,
         }

@@ -33,22 +33,23 @@ same fault history and the same verdict, every time.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Generator
 
 from repro.errors import FileNotFoundError_, ReproError, RpcTimeoutError
-from repro.faults.campaign import default_campaign_config
+from repro.faults.campaign import (
+    CampaignResult, StatsTable, default_campaign_config,
+)
 from repro.faults.netplan import NetFaultPlan
 from repro.kernel.config import SystemConfig
 from repro.kernel.syscalls import Proc
 from repro.nfs.world import build_world
-from repro.sim.stats import StatSet
 from repro.units import KB
 from repro.vfs.vnode import RW
 
 
 @dataclass
-class NetCampaignStats:
+class NetCampaignStats(StatsTable):
     """Aggregated results of one sweep; byte-identical for a given seed."""
 
     runs: int = 0
@@ -76,31 +77,33 @@ class NetCampaignStats:
     soft_timeout_failures: int = 0
     determinism_failures: int = 0
 
-    def as_dict(self) -> "dict[str, int]":
-        return asdict(self)
-
     @property
     def ok(self) -> bool:
-        """True when every invariant held across the sweep."""
+        """True when every invariant held across the sweep, and the sweep
+        actually exercised retransmission and the duplicate-request cache
+        (an inert sweep proves nothing)."""
         return (self.lost_acked_writes == 0
                 and self.corrupt_cache_serves == 0
                 and self.duplicate_side_effects == 0
                 and self.remove_violations == 0
                 and self.soft_timeout_failures == 0
-                and self.determinism_failures == 0)
+                and self.determinism_failures == 0
+                and self.retransmits > 0
+                and self.drc_hits > 0)
 
-    def __str__(self) -> str:  # pragma: no cover - CLI convenience
-        return "\n".join(f"{k:26} {v}" for k, v in self.as_dict().items())
 
-
-class NetCampaign:
+class NetCampaign(CampaignResult):
     """Sweep seeded network-fault schedules over an NFS workload and make
     the RPC hardening answer for every acknowledged byte."""
 
+    passed = ("every acknowledged byte survived the lossy wire, "
+              "exactly once")
+    failed = ("an RPC-hardening invariant was violated, or the sweep never "
+              "exercised retransmission / the duplicate-request cache")
+
     def __init__(self, seeds: int = 20, base_seed: int = 0, nfiles: int = 5,
                  file_bytes: int = 16 * KB,
-                 config: "SystemConfig | None" = None,
-                 sanitize: "bool | None" = None):
+                 config: "SystemConfig | None" = None):
         if seeds < 1:
             raise ValueError("seeds must be >= 1")
         if nfiles < 2:
@@ -110,12 +113,7 @@ class NetCampaign:
         self.nfiles = nfiles
         self.file_bytes = file_bytes
         self.config = config if config is not None else default_campaign_config()
-        #: Force the invariant sanitizer on/off for both machines of every
-        #: world; None keeps the REPRO_SANITIZE environment default.
-        self.sanitize = sanitize
         self.stats = NetCampaignStats()
-        #: The same numbers as a StatSet, for sim/stats consumers.
-        self.statset = StatSet("netcampaign")
         self._window: "tuple[float, float] | None" = None
         #: One dict per seeded run (fault schedule + verdict), JSON-ready;
         #: filled by :meth:`run`.
@@ -176,9 +174,6 @@ class NetCampaign:
         """Build a world, run the doomed workload, verify, fingerprint."""
         client, server_sys, mount = build_world(
             server_config=self.config, fault_plan=plan, timeo=0.3)
-        if self.sanitize is not None:
-            client.sanitizer.enabled = self.sanitize
-            server_sys.sanitizer.enabled = self.sanitize
         # The client machine has no UFS mount; its write throttles live on
         # the NFS vnodes.  Teach its sanitizer where to find them.
         client.sanitizer.throttle_sources.append(
@@ -264,7 +259,7 @@ class NetCampaign:
         return False
 
     # -- the sweep ---------------------------------------------------------
-    def run(self) -> NetCampaignStats:
+    def run(self) -> "NetCampaign":
         # Rehearsal: learn the workload's fault-free span so partitions and
         # crash windows land inside the interesting region.
         rehearsal = self._one_run(None)
@@ -327,9 +322,7 @@ class NetCampaign:
             })
         if not self._soft_probe():
             s.soft_timeout_failures += 1
-        for key, value in s.as_dict().items():
-            self.statset.incr(key, value)
-        return s
+        return self
 
     def to_json(self) -> dict:
         """The sweep as one JSON-ready document (stats + per-seed records)."""
@@ -337,5 +330,5 @@ class NetCampaign:
             "base_seed": self.base_seed,
             "stats": self.stats.as_dict(),
             "runs": self.records,
-            "ok": self.stats.ok,
+            "ok": self.ok,
         }

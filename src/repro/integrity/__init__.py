@@ -22,7 +22,6 @@ from repro.integrity.scrub import ScrubDaemon, Scrubber, ScrubReport
 from repro.integrity.campaign import (
     ScrubCampaign,
     default_scrub_config,
-    run_scrubcampaign,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "ScrubReport",
     "ScrubCampaign",
     "default_scrub_config",
-    "run_scrubcampaign",
 ]

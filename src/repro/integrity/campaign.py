@@ -28,11 +28,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Generator
 
-from repro.disk.geometry import DiskGeometry
 from repro.errors import ReproError
+from repro.faults.campaign import (
+    CampaignResult, StatsTable, default_campaign_config,
+)
 from repro.faults.plan import CORRUPT_KINDS, corrupt_frag
 from repro.integrity.scrub import Scrubber
 from repro.kernel.config import SystemConfig
@@ -40,7 +42,6 @@ from repro.kernel.syscalls import Proc
 from repro.kernel.system import System
 from repro.sim.engine import SimulationError
 from repro.sim.invariants import SanitizerError
-from repro.sim.stats import StatSet
 from repro.ufs.fsck import fsck
 from repro.units import KB
 
@@ -52,15 +53,12 @@ _CACHED_KINDS = ("bitrot", "zero", "torn")
 
 def default_scrub_config() -> SystemConfig:
     """A small checksummed disk, so scrub passes over the whole device
-    stay fast (the same geometry the crash campaign uses)."""
-    return SystemConfig.config_a().with_(
-        geometry=DiskGeometry.uniform(cylinders=120, heads=2,
-                                      sectors_per_track=32),
-        checksums=True)
+    stay fast (the crash campaign's machine, plus checksums)."""
+    return default_campaign_config().with_(checksums=True)
 
 
 @dataclass
-class ScrubCampaignStats:
+class ScrubCampaignStats(StatsTable):
     """Aggregated results; byte-identical for a given seed."""
 
     injected: int = 0
@@ -82,9 +80,6 @@ class ScrubCampaignStats:
     residual_detected: int = 0
     fsck_clean: bool = False
 
-    def as_dict(self) -> "dict[str, Any]":
-        return asdict(self)
-
     @property
     def ok(self) -> bool:
         return (self.detected >= self.injected
@@ -95,17 +90,18 @@ class ScrubCampaignStats:
                 and self.residual_detected == 0
                 and self.fsck_clean)
 
-    def __str__(self) -> str:  # pragma: no cover - CLI convenience
-        return "\n".join(f"{k:24} {v}" for k, v in self.as_dict().items())
 
-
-class ScrubCampaign:
+class ScrubCampaign(CampaignResult):
     """Inject seeded silent corruption, scrub, and audit every outcome."""
+
+    passed = ("every injected corruption detected; repairable ones "
+              "repaired byte-exact, the rest surfaced as precise EIO")
+    failed = ("a corruption went undetected, misrepaired, or surfaced "
+              "without EIO semantics")
 
     def __init__(self, seed: int = 0, nfiles: int = 8,
                  file_bytes: int = 24 * KB,
-                 config: "SystemConfig | None" = None,
-                 sanitize: "bool | None" = None):
+                 config: "SystemConfig | None" = None):
         if nfiles < 2 or nfiles % 2:
             raise ValueError("nfiles must be even and >= 2")
         self.seed = seed
@@ -114,9 +110,7 @@ class ScrubCampaign:
         self.config = config if config is not None else default_scrub_config()
         if not self.config.checksums:
             raise ValueError("scrub campaign requires a checksummed config")
-        self.sanitize = sanitize
         self.stats = ScrubCampaignStats()
-        self.statset = StatSet("scrubcampaign")
         #: One dict per injection (target, kind, expected and actual
         #: outcome), JSON-ready; filled by :meth:`run`.
         self.records: "list[dict]" = []
@@ -150,7 +144,7 @@ class ScrubCampaign:
         return (yield from proc.read(fd, length))
 
     # -- the sweep ---------------------------------------------------------
-    def run(self) -> ScrubCampaignStats:
+    def run(self) -> "ScrubCampaign":
         cfg = self.config
         half = self.nfiles // 2
         bsize = cfg.fs_params.bsize
@@ -158,8 +152,6 @@ class ScrubCampaign:
 
         # Phase 1: build the population and push it durable.
         builder = System(cfg)
-        if self.sanitize is not None:
-            builder.sanitizer.enabled = self.sanitize
         builder.mkfs()
         builder.run(builder.mount_fs())
         builder.run(self._build(Proc(builder)), name="scrub-build")
@@ -169,8 +161,6 @@ class ScrubCampaign:
         # Phase 2: a fresh machine over the same bytes.  Reading the first
         # half populates its page cache — the repair source for those files.
         survivor = System.remounted(store, cfg)
-        if self.sanitize is not None:
-            survivor.sanitizer.enabled = self.sanitize
         region = survivor.disk.integrity
         assert region is not None
         sb = survivor.mount.sb if survivor.mount is not None else None
@@ -317,9 +307,7 @@ class ScrubCampaign:
             json.dumps(r, sort_keys=True, default=str) for r in injected)
         self.digest = hashlib.sha256(
             "\n".join(lines).encode()).hexdigest()[:16]
-        for key, value in s.as_dict().items():
-            self.statset.incr(key, int(value))
-        return s
+        return self
 
     def _rewrite(self, proc: Proc, i: int) -> Generator[Any, Any, None]:
         fd = yield from proc.open(self._path(i))
@@ -365,22 +353,8 @@ class ScrubCampaign:
             "stats": self.stats.as_dict(),
             "injections": self.records,
             "digest": self.digest,
-            "ok": self.stats.ok,
+            "ok": self.ok,
         }
 
-
-def run_scrubcampaign(seed: int = 0, sanitize: "bool | None" = None,
-                      json_path: "str | None" = None,
-                      out=print) -> ScrubCampaign:
-    """Run one campaign; optionally write the JSON document.  Returns the
-    campaign (``campaign.stats.ok`` is the pass/fail verdict)."""
-    campaign = ScrubCampaign(seed=seed, sanitize=sanitize)
-    stats = campaign.run()
-    out(stats)
-    out(f"{'digest':24} {campaign.digest}")
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(campaign.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        out(f"wrote {json_path}")
-    return campaign
+    def __str__(self) -> str:
+        return f"{self.stats}\n{'digest':26} {self.digest}\n{self.verdict}"

@@ -9,14 +9,12 @@ The simulation's whole claim to being an *instrument* rests on two legs:
   diagnosable.
 
 ``python -m repro simcheck`` stands on both.  It runs IObench twice with
-the same seed — sanitizer on, one phase traced — and compares a *stable
-digest* of the trace/span JSONL plus the phase rates and request counts.
+the same seed — sanitizer on, one phase traced — and compares a digest
+of the trace/span JSONL plus the phase rates and request counts.
 
-The JSONL is not directly comparable across runs: span, request, and buf
-ids come from process-global counters that keep climbing from run to run.
-:func:`stable_digest` renumbers each id space by first appearance — two
-runs with the same shape and timing then digest identically, while any
-divergence in ordering, timing, or structure changes the digest.
+Span, request, and buf ids are per-world (each machine numbers its own
+from 1), so two same-seed runs in one process export byte-identical
+JSONL and a plain SHA-256 of it is the digest.
 """
 
 from __future__ import annotations
@@ -26,43 +24,14 @@ import json
 import sys
 from typing import Any, Callable
 
+from repro.sim.invariants import ENV_SWITCH, default_enabled
 from repro.units import MB
-
-#: JSONL keys holding ids from process-global counters, and the id space
-#: each belongs to ("id"/"parent" are both span ids).
-_ID_KEYS = (("id", "span"), ("parent", "span"),
-            ("request", "request"), ("buf", "buf"))
 
 
 def stable_digest(jsonl: str) -> str:
-    """SHA-256 of ``jsonl`` with volatile ids renumbered by appearance.
-
-    Each id space (span, request, buf) is remapped to 1, 2, 3… in first-
-    appearance order, then every line is re-serialized with sorted keys.
-    Two runs of the same deterministic workload digest identically even
-    though their raw ids differ; any structural or timing divergence does
-    not.
-    """
-    maps: dict[str, dict[Any, int]] = {"span": {}, "request": {}, "buf": {}}
-
-    def renumber(space: str, value: Any) -> Any:
-        if value is None:
-            return None
-        table = maps[space]
-        if value not in table:
-            table[value] = len(table) + 1
-        return table[value]
-
-    out = []
-    for line in jsonl.splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        for key, space in _ID_KEYS:
-            if key in obj:
-                obj[key] = renumber(space, obj[key])
-        out.append(json.dumps(obj, sort_keys=True))
-    return hashlib.sha256("\n".join(out).encode()).hexdigest()
+    """SHA-256 of a trace's JSONL export: equal iff the runs' histories
+    (ordering, timing, structure, ids) are byte-identical."""
+    return hashlib.sha256(jsonl.encode()).hexdigest()
 
 
 def run_simcheck(config_name: str = "C", file_mb: int = 4,
@@ -77,15 +46,20 @@ def run_simcheck(config_name: str = "C", file_mb: int = 4,
     two runs' stable trace digests, phase rates, and request counts are
     identical.  ``json_path`` writes the comparison (both runs' digests,
     rates, counts, and the verdict) as one JSON document — the CI
-    artifact form.
+    artifact form.  Leg one needs ``REPRO_SANITIZE=1`` in the
+    environment; ``python -m repro simcheck`` always sets it.
     """
     from repro.bench.iobench import IObench
     from repro.kernel.config import SystemConfig
 
+    if not default_enabled():
+        raise RuntimeError(f"simcheck needs the sanitizer: set {ENV_SWITCH}=1 "
+                           "(python -m repro simcheck sets it)")
+
     def one_run() -> dict[str, Any]:
         bench = IObench(SystemConfig.by_name(config_name),
                         file_size=file_mb * MB, random_ops=random_ops,
-                        seed=seed, trace_phase=trace_phase, sanitize=True)
+                        seed=seed, trace_phase=trace_phase)
         result = bench.run()
         system = bench.system
         assert system is not None

@@ -4,7 +4,7 @@ determinism, and the pinning test for the relocation durability bug.
 
 import pytest
 
-from repro.faults import CrashpointExplorer, PRESETS, run_crashpoints
+from repro.faults import CrashpointExplorer, PRESETS
 
 
 def test_presets_are_wired():
@@ -21,7 +21,7 @@ def test_explorer_rejects_bad_window():
 
 @pytest.fixture(scope="module")
 def smoke_report():
-    return run_crashpoints(preset="smoke", seed=0, sanitize=True)
+    return CrashpointExplorer("smoke", seed=0).run()
 
 
 def test_smoke_meets_the_coverage_floor(smoke_report):
@@ -50,16 +50,16 @@ def test_smoke_report_is_json_ready(smoke_report, tmp_path):
 def test_same_seed_same_digest():
     """Determinism: the full exploration (state hashes + verdicts) is a
     pure function of (preset, seed)."""
-    a = run_crashpoints(preset="relocate", seed=7)
-    b = run_crashpoints(preset="relocate", seed=7)
+    a = CrashpointExplorer("relocate", seed=7).run()
+    b = CrashpointExplorer("relocate", seed=7).run()
     assert a.digest == b.digest
     assert a.distinct_states == b.distinct_states
     assert (a.raw_states, a.crash_points) == (b.raw_states, b.crash_points)
 
 
 def test_different_seed_different_payloads():
-    a = run_crashpoints(preset="relocate", seed=0)
-    b = run_crashpoints(preset="relocate", seed=1)
+    a = CrashpointExplorer("relocate", seed=0).run()
+    b = CrashpointExplorer("relocate", seed=1).run()
     # Payloads differ, so the crash-state images (and their digest) do too.
     assert a.digest != b.digest
 
@@ -76,7 +76,7 @@ def test_relocation_bug_stays_fixed():
     inode pointers durable (write + FLUSH + FUA inode + FLUSH) before the
     old fragments can be handed out again.
     """
-    explorer = CrashpointExplorer(PRESETS["relocate"], seed=0, sanitize=True)
+    explorer = CrashpointExplorer(PRESETS["relocate"], seed=0)
     report = explorer.run()
     # The workload really took the relocation path (else this test guards
     # nothing) ...
@@ -91,6 +91,6 @@ def test_relocation_bug_stays_fixed():
 def test_ordered_metadata_preset_holds():
     """B_ORDER metadata mode: barriers (not FUA) order the metadata; the
     contract folding treats namespace ops as uncertain until a flush."""
-    report = run_crashpoints(preset="ordered", seed=0)
+    report = CrashpointExplorer("ordered", seed=0).run()
     assert report.violations == [] and report.ok
     assert report.distinct_states > 0

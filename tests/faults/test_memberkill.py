@@ -122,8 +122,8 @@ def test_resync_requires_a_live_source():
 
 
 def test_campaign_single_seed():
-    campaign = MirrorKillCampaign(seeds=1, base_seed=0, sanitize=True)
-    stats = campaign.run()
+    campaign = MirrorKillCampaign(seeds=1, base_seed=0).run()
+    stats = campaign.stats
     assert stats.ok, stats.as_dict()
     assert stats.kills == 1
     assert stats.acked_files > 0

@@ -69,6 +69,37 @@ def test_cli_scrubcampaign_json_stdout_parses():
     assert "scrubbing" in result.stderr
 
 
+CAMPAIGNS = {
+    "faultcampaign": ("--cuts", "2"),
+    "netcampaign": ("--seeds", "2"),
+    "memberkill": ("--seeds", "1"),
+    "scrubcampaign": (),
+    "crashpoints": ("--preset", "smoke", "--max-states", "60"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CAMPAIGNS))
+def test_cli_campaign_json_stdout_is_the_verdict(command):
+    result = run_cli(command, *CAMPAIGNS[command], "--seed", "0", "--json",
+                     "-")
+    assert result.returncode == 0, result.stderr
+    document = json.loads(result.stdout)
+    assert document["ok"] is True
+    assert "OK: " in result.stderr  # the human verdict went to stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("faultcampaign", "--cuts", "0"),
+    ("netcampaign", "--seeds", "0"),
+    ("memberkill", "--seeds", "0"),
+    ("crashpoints", "--preset", "no-such-preset"),
+])
+def test_cli_campaign_rejects_bad_flags_with_exit_2(argv):
+    result = run_cli(*argv)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"{argv[0]}: ")
+
+
 def test_cli_json_to_path_keeps_stdout_human(tmp_path):
     path = tmp_path / "out.json"
     result = run_cli("faultcampaign", "--cuts", "2", "--json", str(path))
