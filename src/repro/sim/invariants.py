@@ -14,7 +14,7 @@ is the registry of such invariants, checked at *quiesce points*:
 * at campaign ends and benchmark phase boundaries;
 * optionally every N engine steps (:meth:`Sanitizer.attach_every`).
 
-The six shipped checks:
+The eight shipped checks:
 
 ``engine_liveness``
     ``Engine._live`` equals the number of non-cancelled, non-daemon heap
@@ -40,6 +40,10 @@ The six shipped checks:
     superblock totals, and every block an active inode points at is marked
     allocated; ``deep=True`` additionally runs fsck's walkers read-only
     over the on-disk bytes.
+``write_cache``
+    Volatile write-cache byte accounting is exact; at idle the cache fits.
+``integrity``
+    (``deep=True``) every stamped fragment matches its integrity record.
 
 A violation raises :class:`SanitizerError`, which carries the offending
 request's rendered span tree when one is attributable.
@@ -265,7 +269,15 @@ class Sanitizer:
             )
 
     # -- check 5: page-cache / on-disk coherency ---------------------------
-    def _resolve_lbn(self, mount: Any, ip: Any, lbn: int) -> int:
+    def _check_in_fs(self, check: str, point: str, ino: int, addr: int,
+                     nfrags: int = 1) -> None:
+        """Fail unless ``nfrags`` fragments from ``addr`` are in the fs."""
+        total = self.system.mount.sb.total_frags
+        if addr <= 0 or addr + nfrags > total:
+            self.fail(check, f"at {point}: inode {ino} points at fragment "
+                      f"{addr} outside the file system ({total} fragments)")
+
+    def _resolve_lbn(self, point: str, mount: Any, ip: Any, lbn: int) -> int:
         """Block pointer for ``lbn`` without simulated I/O: in-memory inode
         pointers, then the metacache's cached copy, then the raw store —
         the same bytes bmap would read, in the same precedence."""
@@ -279,17 +291,19 @@ class Sanitizer:
         if rel < n:
             if ip.indirect == HOLE:
                 return HOLE
-            return self._read_ptr_raw(mount, ip.indirect, rel)
+            return self._read_ptr_raw(point, mount, ip, ip.indirect, rel)
         rel -= n
         if ip.dindirect == HOLE:
             return HOLE
-        outer = self._read_ptr_raw(mount, ip.dindirect, rel // n)
+        outer = self._read_ptr_raw(point, mount, ip, ip.dindirect, rel // n)
         if outer == HOLE:
             return HOLE
-        return self._read_ptr_raw(mount, outer, rel % n)
+        return self._read_ptr_raw(point, mount, ip, outer, rel % n)
 
-    @staticmethod
-    def _read_ptr_raw(mount: Any, addr_block: int, index: int) -> int:
+    def _read_ptr_raw(self, point: str, mount: Any, ip: Any, addr_block: int,
+                      index: int) -> int:
+        self._check_in_fs("page_coherency", point, ip.ino, addr_block,
+                          mount.sb.frag)
         meta = mount.metacache._bufs.get(addr_block)
         if meta is not None:
             return struct.unpack_from("<I", meta.data, index * 4)[0]
@@ -322,7 +336,7 @@ class Sanitizer:
                     continue
                 lbn = page.offset // sb.bsize
                 nbytes = min(ip.blksize(lbn), ip.size - page.offset)
-                addr = self._resolve_lbn(mount, ip, lbn)
+                addr = self._resolve_lbn(point, mount, ip, lbn)
                 if addr == HOLE:
                     if any(page.data[:nbytes]):
                         self.fail(
@@ -332,6 +346,8 @@ class Sanitizer:
                             "non-zero bytes",
                         )
                     continue
+                self._check_in_fs("page_coherency", point, ip.ino, addr,
+                                  -(-nbytes // sb.fsize))
                 nsectors = -(-nbytes // 512)
                 ondisk = disk.read_through(sb.fsb_to_sector(addr), nsectors)
                 if bytes(page.data[:nbytes]) != ondisk[:nbytes]:
@@ -353,18 +369,7 @@ class Sanitizer:
         sb = mount.sb
         total_nbfree = total_nffree = 0
         for cg in mount.cgs:
-            base = sb.cgbase(cg.cgx)
-            data_start = sb.cg_data_frag(cg.cgx) - base
-            end = sb.cg_end_frag(cg.cgx) - base
-            nbfree = nffree = 0
-            for block_rel in range(data_start, end - sb.frag + 1, sb.frag):
-                free_here = sum(
-                    cg.frag_is_free(block_rel + i) for i in range(sb.frag)
-                )
-                if free_here == sb.frag:
-                    nbfree += 1
-                else:
-                    nffree += free_here
+            nbfree, nffree = cg.free_counts(sb)
             if nbfree != cg.nbfree or nffree != cg.nffree:
                 self.fail(
                     "allocator",
@@ -389,11 +394,10 @@ class Sanitizer:
                 continue
             if not (ip.is_reg or ip.is_dir):
                 continue  # fast symlinks reuse direct[] as target bytes
-            claims = [a for a in ip.direct[:NDADDR] if a != HOLE]
-            for a in (ip.indirect, ip.dindirect):
-                if a != HOLE:
-                    claims.append(a)
-            for addr in claims:
+            for addr in (*ip.direct[:NDADDR], ip.indirect, ip.dindirect):
+                if addr == HOLE:
+                    continue
+                self._check_in_fs("allocator", point, ino, addr)
                 cgx = addr // sb.fpg
                 rel = addr - sb.cgbase(cgx)
                 if mount.cgs[cgx].frag_is_free(rel):

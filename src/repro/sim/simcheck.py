@@ -41,7 +41,7 @@ def run_simcheck(config_name: str = "C", file_mb: int = 4,
                  out: Callable[[str], None] = print) -> int:
     """Run the workload twice; return 0 when both legs hold.
 
-    Leg one: the sanitizer's six checks pass at every quiesce point of
+    Leg one: every sanitizer check passes at every quiesce point of
     both runs, plus a deep (fsck-backed) sweep after each.  Leg two: the
     two runs' stable trace digests, phase rates, and request counts are
     identical.  ``json_path`` writes the comparison (both runs' digests,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import CorruptionError
 from repro.ufs.ondisk import (
@@ -57,6 +57,14 @@ class FsckReport:
         return "\n".join(lines)
 
 
+def _bitmask(positions: Iterable[int], nbits: int) -> int:
+    """An int with bit ``p`` set for every ``p`` in ``positions``."""
+    mask = bytearray((nbits + 7) // 8)
+    for p in positions:
+        mask[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(mask, "little")
+
+
 class _Checker:
     def __init__(self, store: "DiskStore"):
         from repro.integrity.checksum import IntegrityRegion
@@ -67,7 +75,7 @@ class _Checker:
         #: by :class:`_Repairer` when fsck runs with ``repair=True``.
         self.actions: list[tuple] = []
         self.region = IntegrityRegion.find(store)
-        raw = self._read_frags_raw(16, 16)
+        raw = store.read(16, 16)
         if self.region is None:
             self.sb = Superblock.unpack(raw)
         else:
@@ -87,9 +95,7 @@ class _Checker:
         self.claims: dict[int, int] = {}  # frag -> claiming inode
         self.link_counts: dict[int, int] = {}  # ino -> references seen
         self.inode_modes: dict[int, int] = {}
-
-    def _read_frags_raw(self, sector: int, nsectors: int) -> bytes:
-        return self.store.read(sector, nsectors)
+        self.dinodes: dict[int, Dinode] = {}  # same keys as inode_modes
 
     def _read_frag_addr(self, frag_addr: int, nbytes: int) -> bytes:
         nsectors = -(-nbytes // 512)
@@ -115,11 +121,6 @@ class _Checker:
             self.claims[f] = ino
             self.report.frags_claimed += 1
 
-    def _read_dinode(self, ino: int) -> Dinode:
-        frag_addr, byte_off = self.sb.inode_location(ino)
-        block = self._read_frag_addr(frag_addr, self.sb.bsize)
-        return Dinode.unpack(block[byte_off:byte_off + DINODE_SIZE])
-
     def _file_frags(self, din: Dinode, lbn: int) -> int:
         """Fragments logical block ``lbn`` should hold, from the size."""
         sb = self.sb
@@ -129,17 +130,29 @@ class _Checker:
         tail = din.size - last * sb.bsize
         return max(1, -(-tail // sb.fsize))
 
+    def _allocated_dinodes(self) -> "Iterator[tuple[int, Dinode]]":
+        """``(ino, dinode)`` of every non-zero mode, one read per block."""
+        sb = self.sb
+        per_block = sb.bsize // DINODE_SIZE
+        for cgx in range(sb.ncg):
+            for b in range(sb.inode_blocks_per_group):
+                block = self._read_frag_addr(
+                    sb.cg_inode_frag(cgx) + b * sb.frag, sb.bsize)
+                first = cgx * sb.ipg + b * per_block
+                for off in range(0, sb.bsize, DINODE_SIZE):
+                    if block[off] or block[off + 1]:  # di_mode != 0
+                        yield (first + off // DINODE_SIZE,
+                               Dinode.unpack(block[off:off + DINODE_SIZE]))
+
     def check_inodes(self) -> None:
         sb = self.sb
         nindir = sb.bsize // 4
-        for ino in range(sb.ncg * sb.ipg):
-            din = self._read_dinode(ino)
-            if not din.is_allocated:
-                continue
+        for ino, din in self._allocated_dinodes():
             if ino in (0, 1):
                 continue  # reserved
             self.report.inodes_checked += 1
             self.inode_modes[ino] = din.mode
+            self.dinodes[ino] = din
             kind = din.mode & IFMT
             if kind not in (IFREG, IFDIR, IFLNK):
                 self.report.problem(f"inode {ino}: unknown mode {din.mode:#o}")
@@ -173,8 +186,6 @@ class _Checker:
                 nfrags = self._file_frags(din, lbn)
                 self._claim(ino, addr, nfrags)
                 claimed += nfrags
-            for lbn in range(NDADDR, last_lbn + 1):
-                pass  # counted via the pointer blocks below
             if din.indirect:
                 claimed += self._walk_pointer_block(ino, din.indirect, 1)
             if din.dindirect:
@@ -222,7 +233,7 @@ class _Checker:
                     self.actions.append(("zero_dirent",) + loc)
                 continue
             seen.add(ino)
-            din = self._read_dinode(ino)
+            din = self.dinodes.get(ino, Dinode())  # unallocated: mode 0
             if not din.is_dir:
                 self.report.problem(f"inode {ino} expected directory")
                 if loc is not None:
@@ -289,7 +300,7 @@ class _Checker:
         # Note: the root's '..' entry points at itself and was counted in
         # the scan, standing in for the parent-directory entry it lacks.
         for ino, mode in self.inode_modes.items():
-            din = self._read_dinode(ino)
+            din = self.dinodes[ino]
             expected = self.link_counts.get(ino, 0)
             if (mode & IFMT) == IFDIR:
                 expected += 1  # its own '.'
@@ -311,6 +322,9 @@ class _Checker:
     # -- phase 4: bitmaps and counters -----------------------------------------------
     def check_bitmaps(self) -> None:
         sb = self.sb
+        claimed = _bitmask(self.claims, sb.total_frags)
+        in_use = _bitmask([0, 1, *self.inode_modes], sb.ncg * sb.ipg)  # 0, 1: reserved
+        all_inodes = (1 << sb.ipg) - 1
         total_nbfree = total_nffree = total_nifree = total_ndir = 0
         for cgx in range(sb.ncg):
             data = self._read_frag_addr(sb.cg_header_frag(cgx), sb.bsize)
@@ -320,31 +334,24 @@ class _Checker:
                 self.report.problem(f"group {cgx}: {exc}")
                 continue
             base = sb.cgbase(cgx)
-            data_start = sb.cg_data_frag(cgx) - base
-            end = sb.cg_end_frag(cgx) - base
-            nbfree = nffree = 0
-            for block_rel in range(data_start, end - sb.frag + 1, sb.frag):
-                free_here = 0
-                for i in range(sb.frag):
-                    rel = block_rel + i
+            free, start, nbits = cg.data_free_bits(sb)
+            mine = (claimed >> (base + start)) & ((1 << nbits) - 1)
+            if (free ^ mine) != (1 << nbits) - 1:  # walk only a bad group
+                for rel in range(start, start + nbits):
                     frag_addr = base + rel
                     is_free = cg.frag_is_free(rel)
-                    claimed = frag_addr in self.claims
-                    if is_free and claimed:
+                    claimed_by = self.claims.get(frag_addr)
+                    if is_free and claimed_by is not None:
                         self.report.problem(
                             f"fragment {frag_addr} free in bitmap but claimed "
-                            f"by inode {self.claims[frag_addr]}"
+                            f"by inode {claimed_by}"
                         )
-                    if not is_free and not claimed:
+                    if not is_free and claimed_by is None:
                         self.report.problem(
                             f"fragment {frag_addr} allocated in bitmap but "
                             f"unclaimed (leak)"
                         )
-                    free_here += is_free
-                if free_here == sb.frag:
-                    nbfree += 1
-                else:
-                    nffree += free_here
+            nbfree, nffree = cg.free_counts(sb)
             if nbfree != cg.nbfree:
                 self.report.problem(
                     f"group {cgx}: nbfree {cg.nbfree} but bitmap shows {nbfree}"
@@ -353,22 +360,23 @@ class _Checker:
                 self.report.problem(
                     f"group {cgx}: nffree {cg.nffree} but bitmap shows {nffree}"
                 )
-            nifree = sum(
-                1 for i in range(sb.ipg) if cg.inode_is_free(i)
-            )
+            ifree = int.from_bytes(cg.inode_bitmap, "little") & all_inodes
+            nifree = ifree.bit_count()
             if nifree != cg.nifree:
                 self.report.problem(
                     f"group {cgx}: nifree {cg.nifree} but bitmap shows {nifree}"
                 )
-            for i in range(sb.ipg):
-                ino = cgx * sb.ipg + i
-                allocated = ino in self.inode_modes or ino in (0, 1)
-                if cg.inode_is_free(i) and ino in self.inode_modes:
-                    self.report.problem(
-                        f"inode {ino} free in bitmap but allocated on disk"
-                    )
-                if not cg.inode_is_free(i) and not allocated:
-                    self.report.problem(f"inode {ino} leaked in bitmap")
+            used = (in_use >> (cgx * sb.ipg)) & all_inodes
+            if (ifree & used) or (ifree | used) != all_inodes:
+                for i in range(sb.ipg):
+                    ino = cgx * sb.ipg + i
+                    allocated = ino in self.inode_modes or ino in (0, 1)
+                    if cg.inode_is_free(i) and ino in self.inode_modes:
+                        self.report.problem(
+                            f"inode {ino} free in bitmap but allocated on disk"
+                        )
+                    if not cg.inode_is_free(i) and not allocated:
+                        self.report.problem(f"inode {ino} leaked in bitmap")
             total_nbfree += cg.nbfree
             total_nffree += cg.nffree
             total_nifree += cg.nifree
@@ -496,7 +504,7 @@ class _Repairer:
         scan = _Checker(self.store)
         scan.check_inodes()
         sb = scan.sb
-        claims = scan.claims
+        claimed = _bitmask(scan.claims, sb.total_frags)
         total_nbfree = total_nffree = total_nifree = total_ndir = 0
         for cgx in range(sb.ncg):
             base = sb.cgbase(cgx)
@@ -512,20 +520,14 @@ class _Repairer:
                     0, 0, bytearray((sb.fpg + 7) // 8),
                     bytearray((sb.ipg + 7) // 8),
                 )
-            data_start = sb.cg_data_frag(cgx) - base
-            end = sb.cg_end_frag(cgx) - base
-            nbfree = nffree = 0
-            for block_rel in range(data_start, end - sb.frag + 1, sb.frag):
-                free_here = 0
-                for i in range(sb.frag):
-                    rel = block_rel + i
-                    free = (base + rel) not in claims
-                    cg.set_frag(rel, free)
-                    free_here += free
-                if free_here == sb.frag:
-                    nbfree += 1
-                else:
-                    nffree += free_here
+            # Whole data blocks: free exactly where nothing claims them.
+            _, start, nbits = cg.data_free_bits(sb)
+            span = ((1 << nbits) - 1) << start
+            bitmap = int.from_bytes(cg.frag_bitmap, "little") & ~span
+            bitmap |= ~(claimed >> base) & span
+            cg.frag_bitmap = bytearray(
+                bitmap.to_bytes(len(cg.frag_bitmap), "little"))
+            nbfree, nffree = cg.free_counts(sb)
             nifree = ndir = 0
             for i in range(sb.ipg):
                 ino = cgx * sb.ipg + i

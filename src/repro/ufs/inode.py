@@ -97,10 +97,6 @@ class Inode:
         return (self.mode & IFMT) == IFLNK
 
     # -- geometry helpers ------------------------------------------------------
-    def lblkno(self, offset: int) -> int:
-        """Logical block number containing byte ``offset``."""
-        return offset // self.mount.sb.bsize
-
     def blksize(self, lbn: int) -> int:
         """Size in bytes of logical block ``lbn`` (the tail of a small file
         may be a fragment run shorter than a full block)."""

@@ -80,33 +80,25 @@ def compute_superblock(geometry: "DiskGeometry", params: FsParams,
 
 
 def _build_group(sb: Superblock, cgx: int) -> CylinderGroup:
-    """An initial cylinder group: everything free except metadata."""
-    frag_bytes = (sb.fpg + 7) // 8
-    inode_bytes = (sb.ipg + 7) // 8
-    cg = CylinderGroup(
-        magic=CG_MAGIC, cgx=cgx, ndblk=sb.cg_end_frag(cgx) - sb.cgbase(cgx),
-        nbfree=0, nffree=0, nifree=0, ndir=0, frag_rotor=0, inode_rotor=0,
-        frag_bitmap=bytearray(frag_bytes), inode_bitmap=bytearray(inode_bytes),
-    )
-    base = sb.cgbase(cgx)
-    data_start = sb.cg_data_frag(cgx) - base
-    for rel in range(cg.ndblk):
-        cg.set_frag(rel, rel >= data_start)
-    # Count free blocks (the data area is block aligned by construction).
-    frag = sb.frag
-    whole = (cg.ndblk - data_start) // frag
-    cg.nbfree = whole
-    cg.nffree = (cg.ndblk - data_start) - whole * frag
-    # Mark the tail frags (not forming a whole block) individually free:
-    # they already are; nffree above counts them.
-    for rel in range(sb.ipg):
-        cg.set_inode(rel, True)
-    cg.nifree = sb.ipg
+    """An initial cylinder group: everything free except metadata and, in
+    group 0, the reserved inodes 0 and 1 and the root directory's inode
+    and first data block."""
+    ndblk = sb.cg_end_frag(cgx) - sb.cgbase(cgx)
+    data_start = sb.cg_data_frag(cgx) - sb.cgbase(cgx)
+    free_inodes = (1 << sb.ipg) - 1
     if cgx == 0:
-        # Inodes 0 and 1 are reserved (historical); root is inode 2.
-        cg.set_inode(0, False)
-        cg.set_inode(1, False)
-        cg.nifree -= 2
+        data_start += sb.frag
+        free_inodes &= ~(0b11 | 1 << ROOT_INO)
+    free_frags = (1 << ndblk) - (1 << data_start)
+    cg = CylinderGroup(
+        magic=CG_MAGIC, cgx=cgx, ndblk=ndblk, nbfree=0, nffree=0,
+        nifree=free_inodes.bit_count(), ndir=int(cgx == 0), frag_rotor=0,
+        inode_rotor=0,
+        frag_bitmap=bytearray(free_frags.to_bytes((sb.fpg + 7) // 8, "little")),
+        inode_bitmap=bytearray(
+            free_inodes.to_bytes((sb.ipg + 7) // 8, "little")),
+    )
+    cg.nbfree, cg.nffree = cg.free_counts(sb)
     return cg
 
 
@@ -134,17 +126,8 @@ def mkfs(store: "DiskStore", geometry: "DiskGeometry",
     sb = compute_superblock(geometry, params, total_sectors=total_sectors)
     groups = [_build_group(sb, cgx) for cgx in range(sb.ncg)]
 
-    # Root directory: one block in group 0's data area.
+    # Root directory: the first block of group 0's data area.
     root_block = sb.cg_data_frag(0)
-    cg0 = groups[0]
-    rel = root_block - sb.cgbase(0)
-    for i in range(sb.frag):
-        cg0.set_frag(rel + i, False)
-    cg0.nbfree -= 1
-    cg0.set_inode(ROOT_INO, False)
-    cg0.nifree -= 1
-    cg0.ndir += 1
-
     dirblock = bytearray(empty_dirblock(sb.bsize))
     dirblock[0:12] = pack_dirent(ROOT_INO, ".", 12)
     dirblock[12:DIRBLKSIZ] = pack_dirent(ROOT_INO, "..", DIRBLKSIZ - 12)

@@ -238,6 +238,28 @@ class CylinderGroup:
         is free."""
         return all(self.frag_is_free(rel_block_frag + i) for i in range(frag))
 
+    def data_free_bits(self, sb: Superblock) -> tuple[int, int, int]:
+        """``(free, start, nbits)``: the data area's whole blocks as one int
+        of free bits, bit 0 being relative fragment ``start``."""
+        start = sb.cg_data_frag(self.cgx) - sb.cgbase(self.cgx)
+        end = sb.cg_end_frag(self.cgx) - sb.cgbase(self.cgx)
+        nbits = max(0, (end - start) // sb.frag * sb.frag)
+        free = int.from_bytes(self.frag_bitmap, "little") >> start
+        return free & ((1 << nbits) - 1), start, nbits
+
+    def free_counts(self, sb: Superblock) -> tuple[int, int]:
+        """``(nbfree, nffree)``: free whole blocks, and free fragments of
+        partly used blocks, recounted from the bitmap a word at a time."""
+        free, _, nbits = self.data_free_bits(sb)
+        whole = free
+        for shift in range(1, sb.frag):  # block bit k*frag: all frags free
+            whole &= free >> shift
+        # Keep one bit per block: byte pattern 0xFF, 0x55, 0x11 or 0x01.
+        pattern = bytes([sum(1 << b for b in range(0, 8, sb.frag))])
+        starts = int.from_bytes(pattern * (nbits // 8 + 1), "little")
+        nbfree = (whole & starts).bit_count()
+        return nbfree, free.bit_count() - nbfree * sb.frag
+
 
 @dataclass
 class Dinode:

@@ -273,3 +273,36 @@ def test_sanitizer_constructor_reads_env(monkeypatch):
     assert Sanitizer(system).enabled
     monkeypatch.setenv("REPRO_SANITIZE", "0")
     assert not Sanitizer(system).enabled
+
+
+# -- out-of-range block pointers are violations, not crashes -----------------
+
+def test_allocator_reports_out_of_range_directory_pointer():
+    system = make_system()
+    write_file(system)
+    sb = system.mount.sb
+    root = system.mount._icache[2]
+    bogus = 16 * sb.fpg  # past the last cylinder group
+    root.direct[1] = bogus
+    with pytest.raises(SanitizerError) as exc:
+        system.sanitizer.checkpoint("test", idle=True)
+    assert exc.value.check == "allocator"
+    assert f"inode 2 points at fragment {bogus} outside" in str(exc.value)
+
+
+def test_page_coherency_reports_out_of_range_file_pointer():
+    system = make_system()
+    write_file(system)
+
+    def redirect():
+        vn = yield from system.mount.namei("/f")
+        return vn.inode
+
+    ip = system.engine.run_process(redirect())
+    bogus = 16 * system.mount.sb.fpg  # past the end of the device
+    ip.direct[0] = bogus
+    with pytest.raises(SanitizerError) as exc:
+        system.sanitizer.checkpoint("test", idle=True)
+    assert exc.value.check == "page_coherency"
+    assert f"inode {ip.ino} points at fragment {bogus} outside" in str(
+        exc.value)

@@ -129,3 +129,72 @@ def test_report_str_format(fresh):
     store, _ = fresh
     text = str(fsck(store))
     assert "CLEAN" in text
+
+
+# -- bitmap findings: the per-bit fallback when a group's masks disagree ------
+
+def _group(store, sb, cgx):
+    from repro.ufs.ondisk import CylinderGroup
+
+    return CylinderGroup.unpack(
+        store.read(sb.cg_header_frag(cgx) * 2, 16), sb)
+
+
+def rewrite_group(store, sb, cgx, mutate):
+    cg = _group(store, sb, cgx)
+    mutate(cg)
+    store.write(sb.cg_header_frag(cgx) * 2, cg.pack(sb))
+
+
+def test_inode_free_in_bitmap_but_allocated_on_disk(fresh):
+    store, sb = fresh
+
+    def free_root(cg):
+        cg.set_inode(ROOT_INO, True)
+        cg.nifree += 1
+
+    rewrite_group(store, sb, 0, free_root)
+    sb.cs_nifree += 1
+    store.write(16, sb.pack())
+    assert fsck(store).findings == [
+        f"inode {ROOT_INO} free in bitmap but allocated on disk"]
+
+
+def test_inode_leaked_in_bitmap(fresh):
+    store, sb = fresh
+
+    def leak(cg):
+        cg.set_inode(7, False)
+        cg.set_inode(3, False)
+        cg.nifree -= 2
+
+    rewrite_group(store, sb, 1, leak)
+    sb.cs_nifree -= 2
+    store.write(16, sb.pack())
+    assert fsck(store).findings == [
+        f"inode {sb.ipg + 3} leaked in bitmap",
+        f"inode {sb.ipg + 7} leaked in bitmap",
+    ]
+
+
+def test_fragment_findings_come_in_fragment_order(fresh):
+    store, sb = fresh
+    data = sb.cg_data_frag(0)  # the root directory's block
+    rel = data - sb.cgbase(0)
+    hit = [rel + 5 * sb.frag + 1, rel + 3, rel + 2 * sb.frag + 6]
+
+    def damage(cg):
+        for r in hit:
+            cg.set_frag(r, not cg.frag_is_free(r))
+
+    nbfree = _group(store, sb, 0).nbfree
+    rewrite_group(store, sb, 0, damage)
+    assert fsck(store).findings == [
+        f"fragment {data + 3} free in bitmap but claimed by inode {ROOT_INO}",
+        f"fragment {data + 2 * sb.frag + 6} allocated in bitmap but "
+        "unclaimed (leak)",
+        f"fragment {data + 5 * sb.frag + 1} allocated in bitmap but "
+        "unclaimed (leak)",
+        f"group 0: nbfree {nbfree} but bitmap shows {nbfree - 2}",
+        f"group 0: nffree 0 but bitmap shows {1 + 2 * (sb.frag - 1)}",
+    ]
