@@ -368,9 +368,7 @@ def _trace_source(args: argparse.Namespace, say):
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs.critpath import (
-        critical_paths, verify_against_attribution, verify_conservation,
-    )
+    from repro.obs.critpath import critical_paths, verify_conservation
     from repro.obs.export import chrome_trace_json, folded_stacks
 
     say = _emit(args)
@@ -402,20 +400,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     if args.mode == "analyze":
         say(report.render(top_n=args.top))
-        problems = (verify_conservation(report)
-                    + verify_against_attribution(tracer, report))
+        problems = verify_conservation(report)
         if args.json:
             document = report.to_json()
             document["violations"] = problems
             _write_json(args.json, document, say)
         if problems:
-            say(f"FAILED: {len(problems)} conservation/attribution "
-                "violation(s)")
+            say(f"FAILED: {len(problems)} conservation violation(s)")
             for problem in problems[:10]:
                 say(f"  {problem}")
             return 1
-        say("OK: every critical path conserves its request's latency and "
-            "agrees with the attribution sweep")
+        say("OK: every critical path conserves its request's latency")
         return 0
 
     if args.mode == "chrome":

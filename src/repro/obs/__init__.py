@@ -10,19 +10,20 @@ to the same standard.  This package gives it three legs:
   throttle waits, write-cache destages, checksum errors, scrub progress,
   per-volume-member I/O) behind one namespaced ``snapshot()`` /
   ``to_json()`` view;
-* :mod:`repro.obs.attrib` — per-layer *time attribution* computed from the
-  request span trees: for any traced run, a table of where simulated time
-  went (cpu / queue_wait / rotation_seek / transfer / throttle_wait /
-  rpc) per request kind;
+* :mod:`repro.obs.attrib` — per-layer *time attribution*: for any traced
+  run, a table of where simulated time went (cpu / queue_wait /
+  rotation_seek / transfer / throttle_wait / rpc) per request kind, the
+  per-kind sum of the critical paths below;
 * :mod:`repro.obs.bench` + :mod:`repro.obs.gate` — the ``python -m repro
   bench`` orchestrator emitting one schema-versioned ``BENCH.json``
   (byte-identical across same-seed runs), a differ for two such
   documents, and the CI perf gate that fails on headline-rate regressions
   or attribution blowups against a committed baseline;
-* :mod:`repro.obs.critpath` — per-request critical-path extraction: for
-  each completed request, the chain of child spans that determined its
-  latency, with per-layer blame totals (conserving the request's elapsed
-  time exactly) and a "slowest requests, dominated by X" report;
+* :mod:`repro.obs.critpath` — per-request critical-path extraction, the
+  one sweep that classifies simulated time: for each completed request,
+  the chain of child spans that determined its latency, with per-layer
+  blame totals (conserving the request's elapsed time exactly) and a
+  "slowest requests, dominated by X" report;
 * :mod:`repro.obs.export` — byte-deterministic exporters from span trees
   to Chrome trace-event JSON (``chrome://tracing`` / Perfetto) and
   collapsed folded-stack lines for standard flamegraph tools;
@@ -37,8 +38,7 @@ from repro.obs.attrib import (
 )
 from repro.obs.bench import BENCH_SCHEMA, diff_documents, run_bench
 from repro.obs.critpath import (
-    CritReport, critical_path, critical_paths, verify_against_attribution,
-    verify_conservation,
+    CritReport, critical_path, critical_paths, verify_conservation,
 )
 from repro.obs.export import chrome_trace, chrome_trace_json, folded_stacks
 from repro.obs.gate import GateResult, check_gate
@@ -62,6 +62,5 @@ __all__ = [
     "folded_stacks",
     "render_attribution",
     "run_bench",
-    "verify_against_attribution",
     "verify_conservation",
 ]

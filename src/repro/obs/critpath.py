@@ -1,34 +1,51 @@
-"""Critical-path extraction over completed request span trees.
+"""Critical paths: the one classifier of simulated request time.
 
-:mod:`repro.obs.attrib` answers "where did the *total* time go"; this
-module answers the per-request question the paper's traces are really
-about: for **one** request, which chain of child spans determined its
-latency?  An 8 KB read that took 40 ms spent that time *somewhere* — in
-the driver queue behind the writer, on the arm, in the throttle — and
-the critical path names the culprit interval by interval.
+For **one** request this module answers the question the paper's traces
+are really about: which chain of child spans determined its latency?  An
+8 KB read that took 40 ms spent that time *somewhere* — in the driver
+queue behind the writer, on the arm, in the throttle — and the critical
+path names the culprit interval by interval.  Summed per request kind,
+the same paths are the layer time attribution table
+(:func:`repro.obs.attrib.attribution_table` is :meth:`CritReport.by_kind`).
+
+Every instant is blamed on exactly one category:
+
+==============  ======================================================
+category        meaning
+==============  ======================================================
+cpu             no wait span active — the request was computing
+                (syscall path, page copies, checksum work)
+queue_wait      buf sat in the driver queue behind other I/O
+rotation_seek   disk arm seeking / head switching / rotational latency
+transfer        bytes moving over the media or the bus
+throttle_wait   blocked on the write throttle or waiting for memory
+rpc             network round-trip (NFS client waiting on the wire)
+other_io        inside disk service but not attributable to seek or
+                transfer (controller overhead, track-buffer housekeeping)
+==============  ======================================================
 
 Algorithm
 ---------
 For each closed root span the request's lifetime ``[begin, end]`` is
-swept over the boundary points of its descendant spans; at every
-instant the winner is chosen by **the same priority rules as the
-attribution sweep** (:mod:`repro.obs.attrib`): among active *wait*
-spans (``queue_wait``, ``rotation_seek``, ``transfer``,
-``throttle_wait``, ``mem_wait``, ``rpc``; then ``service``) the
-highest-priority one wins, ties broken by category order, then depth,
-begin time, and span id so the sweep is deterministic.  When no wait
-span is active the **deepest** structural span wins — that's the
-request on the CPU inside ``read``/``getpage``/``cluster_read``, and
-it is what gives flamegraph stacks their shape.  Instants no
-descendant covers belong to the root itself.
+swept over the boundary points of its descendant spans.  Over each
+elementary segment between two points the active span with the largest
+key wins.  *Wait* spans (``queue_wait``, ``rotation_seek``,
+``transfer``, ``throttle_wait``, ``mem_wait``, ``rpc``; then the
+priority-0 ``service``) beat every structural span; among them priority
+wins, then category order, then depth, begin time and span id, so the
+sweep is deterministic.  When no wait span is active the **deepest**
+structural span wins — the request on the CPU inside
+``read``/``getpage``/``cluster_read``, which gives flamegraph stacks
+their shape — and its time is ``cpu``.  Instants no descendant covers
+belong to the root itself (``cpu``).  Nested or overlapping waits never
+double-count: concurrent sibling I/Os (clustered readahead) still put
+each instant in exactly one bucket.
 
-The winning intervals, merged, are the critical path: a sequence of
-:class:`Segment` objects whose durations sum to the request's latency
-(the conservation invariant).  Because the winner rule reuses attrib's
-priority key verbatim, the per-category blame totals equal
-:func:`repro.obs.attrib.attribution_table`'s by construction — even
-when concurrent sibling I/Os (clustered readahead) overlap their
-waits — which :func:`verify_against_attribution` cross-checks.
+Each segment's length is added to its winner's category as the sweep
+goes, in ascending point order; the winning intervals, merged, are the
+critical path: a sequence of :class:`Segment` objects whose durations
+sum to the request's latency (the conservation invariant,
+:func:`verify_conservation`).
 
 Open spans
 ----------
@@ -38,22 +55,52 @@ that happen quietly: still-open *roots* are excluded and counted
 (``open_roots``), still-open *descendants* of a closed root are clamped
 to the root's end and counted (``open_spans``) — both counts surface in
 reports so a leaked span is a visible data-quality warning, not a
-misattribution.
+misattribution.  The attribution table follows the same policy, since it
+is these paths summed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
-
-from repro.obs.attrib import (
-    _SPAN_CATEGORY, ATTRIBUTION_CATEGORIES, attribution_table,
-)
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.trace import Span, Tracer
 
+#: Category order — also the deterministic tiebreak when two spans of the
+#: same priority overlap (earlier wins).
+ATTRIBUTION_CATEGORIES = (
+    "cpu",
+    "queue_wait",
+    "rotation_seek",
+    "transfer",
+    "throttle_wait",
+    "rpc",
+    "other_io",
+)
+
+#: span name -> (category, priority).  Higher priority wins the sweep;
+#: ``service`` is the priority-0 fallback that catches disk time not
+#: explained by the synthesized rotation_seek/transfer children.
+_SPAN_CATEGORY: dict[str, tuple[str, int]] = {
+    "queue_wait": ("queue_wait", 1),
+    "rotation_seek": ("rotation_seek", 1),
+    "transfer": ("transfer", 1),
+    "throttle_wait": ("throttle_wait", 1),
+    "mem_wait": ("throttle_wait", 1),
+    "rpc": ("rpc", 1),
+    "service": ("other_io", 0),
+}
+
 _CATEGORY_ORDER = {name: i for i, name in enumerate(ATTRIBUTION_CATEGORIES)}
+
+#: span name -> (sweep rank, category) for wait spans: priority first,
+#: then the earlier category.  Every structural span ranks 0, below them.
+_SWEEP_RANK = {
+    name: (1 + (priority + 1) * len(ATTRIBUTION_CATEGORIES)
+           - _CATEGORY_ORDER[category], category)
+    for name, (category, priority) in _SPAN_CATEGORY.items()
+}
+_STRUCTURAL = (0, "cpu")
 
 
 def span_category(name: str) -> str:
@@ -63,12 +110,10 @@ def span_category(name: str) -> str:
     ``disk_io[mN]`` …) default to ``cpu``: their *own* uncovered time is
     the request computing, not a wait.
     """
-    mapped = _SPAN_CATEGORY.get(name)
-    return mapped[0] if mapped is not None else "cpu"
+    return _SWEEP_RANK.get(name, _STRUCTURAL)[1]
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One interval of a request's critical path.
 
     ``span`` is the deepest span active over ``[begin, end)`` — the root
@@ -86,7 +131,8 @@ class Segment:
 
     @property
     def category(self) -> str:
-        return span_category(self.span.name)
+        """The sweep's category: the root's own time (depth 0) is cpu."""
+        return span_category(self.span.name) if self.depth else "cpu"
 
     def describe(self) -> str:
         return (f"{self.span.name:<16} [{self.begin * 1e3:10.3f}ms "
@@ -96,14 +142,15 @@ class Segment:
 class CriticalPath:
     """The critical path of one completed request root."""
 
-    __slots__ = ("root", "segments", "open_spans")
+    __slots__ = ("root", "segments", "open_spans", "_categories")
 
     def __init__(self, root: "Span", segments: "list[Segment]",
-                 open_spans: int):
+                 open_spans: int, categories: "dict[str, float]"):
         self.root = root
         self.segments = segments
         #: Descendant spans that were still open and had to be clamped.
         self.open_spans = open_spans
+        self._categories = categories
 
     @property
     def latency(self) -> float:
@@ -125,22 +172,19 @@ class CriticalPath:
         return dict(sorted(totals.items(), key=lambda kv: (-kv[1], kv[0])))
 
     def categories(self) -> dict[str, float]:
-        """Seconds on the path per attribution category (all categories
-        present, zeros included) — the attrib.py-comparable view."""
-        totals = dict.fromkeys(ATTRIBUTION_CATEGORIES, 0.0)
-        for seg in self.segments:
-            totals[seg.category] += seg.duration
-        return totals
+        """Seconds per attribution category (all categories present, zeros
+        included), as the sweep accumulated them segment by segment."""
+        return dict(self._categories)
 
     def dominant(self) -> str:
         """The category that got the most of this request's time."""
-        totals = self.categories()
+        totals = self._categories
         return max(ATTRIBUTION_CATEGORIES,
                    key=lambda c: (totals[c], -_CATEGORY_ORDER[c]))
 
     def describe(self) -> str:
         top = self.dominant()
-        share = (self.categories()[top] / self.latency * 100.0
+        share = (self._categories[top] / self.latency * 100.0
                  if self.latency > 0 else 0.0)
         warn = f" open_spans={self.open_spans}" if self.open_spans else ""
         return (f"{self.root.name:<10} #{self.root.fields.get('request', self.root.id):<5} "
@@ -152,19 +196,6 @@ class CriticalPath:
         lines = [self.describe()]
         lines.extend("  " + seg.describe() for seg in self.segments)
         return "\n".join(lines)
-
-
-def _descend(root: "Span", children: "dict[int, list[Span]]"
-             ) -> "list[tuple[Span, int]]":
-    out: list[tuple["Span", int]] = []
-    stack: list[tuple["Span", int]] = [(root, 0)]
-    while stack:
-        span, depth = stack.pop()
-        kids = children.get(span.id)
-        if kids:
-            out.extend((k, depth + 1) for k in kids)
-            stack.extend((k, depth + 1) for k in kids)
-    return out
 
 
 def critical_path(tracer: "Tracer", root: "Span",
@@ -182,48 +213,52 @@ def critical_path(tracer: "Tracer", root: "Span",
         children = tracer.children_index()
     lo, hi = root.begin, root.end
     open_spans = 0
-
-    # (begin, end, depth, span, mapped) clamped into the root's lifetime;
-    # mapped is attrib's (category, priority) or None for structural spans.
-    intervals: list[tuple[float, float, int, "Span", "tuple | None"]] = []
-    for span, depth in _descend(root, children):
-        end = span.end
-        if end is None:
-            open_spans += 1
-            end = hi
-        begin = max(span.begin, lo)
-        end = min(end, hi)
-        if end > begin:
-            intervals.append((begin, end, depth, span,
-                              _SPAN_CATEGORY.get(span.name)))
-
+    categories = dict.fromkeys(ATTRIBUTION_CATEGORIES, 0.0)
     segments: list[Segment] = []
+    # (rank, depth, begin, span id, end, span, category), clamped into the
+    # root's lifetime.  The first four fields are the sweep key, unique
+    # because of the id; the root, always active, ranks below every span.
+    intervals: list[tuple] = [(-1, 0, lo, root.id, hi, root, "cpu")]
+    points = {lo, hi}
+    stack: list[tuple["Span", int]] = [(root, 1)]
+    while stack:
+        span, depth = stack.pop()
+        for kid in children.get(span.id, ()):
+            if kid.id in children:
+                stack.append((kid, depth + 1))
+            end = kid.end
+            if end is None:
+                open_spans += 1
+                end = hi
+            elif end > hi:
+                end = hi
+            begin = kid.begin
+            if begin < lo:
+                begin = lo
+            if end > begin:
+                points.add(begin)
+                points.add(end)
+                rank, category = _SWEEP_RANK.get(kid.name, _STRUCTURAL)
+                intervals.append((rank, depth, begin, kid.id, end, kid,
+                                  category))
+
     if hi > lo:
-        points = sorted({lo, hi, *(b for b, _, _, _, _ in intervals),
-                         *(e for _, e, _, _, _ in intervals)})
-        for seg_lo, seg_hi in zip(points, points[1:]):
-            # Two candidate pools, exactly mirroring attrib's sweep: an
-            # active wait/service span always beats a structural one.
-            wait_key, wait = None, None
-            deep_key, deep = None, None
-            for begin, end, depth, span, mapped in intervals:
-                if begin <= seg_lo and end >= seg_hi:
-                    if mapped is not None:
-                        key = (mapped[1], -_CATEGORY_ORDER[mapped[0]],
-                               depth, begin, span.id)
-                        if wait_key is None or key > wait_key:
-                            wait_key, wait = key, (span, depth)
-                    else:
-                        key = (depth, begin, span.id)
-                        if deep_key is None or key > deep_key:
-                            deep_key, deep = key, (span, depth)
-            winner, winner_depth = wait or deep or (root, 0)
-            last = segments[-1] if segments else None
-            if last is not None and last.span is winner and last.end == seg_lo:
-                segments[-1] = Segment(winner, last.begin, seg_hi, winner_depth)
-            else:
-                segments.append(Segment(winner, seg_lo, seg_hi, winner_depth))
-    return CriticalPath(root, segments, open_spans)
+        # Best key first: a segment's winner is the first active interval.
+        intervals.sort(reverse=True)
+        ordered = sorted(points)
+        run_span, run_begin, run_depth = None, lo, 0
+        for seg_lo, seg_hi in zip(ordered, ordered[1:]):
+            for iv in intervals:
+                if iv[2] <= seg_lo and iv[4] >= seg_hi:
+                    break
+            categories[iv[6]] += seg_hi - seg_lo
+            if iv[5] is not run_span:
+                if run_span is not None:
+                    segments.append(Segment(run_span, run_begin, seg_lo,
+                                            run_depth))
+                run_span, run_begin, run_depth = iv[5], seg_lo, iv[1]
+        segments.append(Segment(run_span, run_begin, hi, run_depth))
+    return CriticalPath(root, segments, open_spans, categories)
 
 
 class CritReport:
@@ -241,7 +276,7 @@ class CritReport:
         return sum(p.open_spans for p in self.paths)
 
     def by_kind(self) -> dict[str, dict[str, object]]:
-        """Per-request-kind blame totals, shaped like attrib's table:
+        """Per-request-kind blame totals — the attribution table:
         ``{kind: {"requests", "total", "categories"}}``, kinds sorted."""
         table: dict[str, dict[str, object]] = {}
         for path in self.paths:
@@ -255,7 +290,7 @@ class CritReport:
             row["requests"] += 1
             row["total"] += path.latency
             cats = row["categories"]
-            for category, seconds in path.categories().items():
+            for category, seconds in path._categories.items():
                 cats[category] += seconds
         return {kind: table[kind] for kind in sorted(table)}
 
@@ -310,20 +345,15 @@ class CritReport:
         }
 
 
-def critical_paths(tracer: "Tracer",
-                   kinds: "Iterable[str] | None" = None) -> CritReport:
+def critical_paths(tracer: "Tracer") -> CritReport:
     """Extract every completed request's critical path from a trace.
 
-    ``kinds`` restricts the roots considered (e.g. only ``read``); open
-    roots are excluded and counted on the report.
+    Open roots are excluded and counted on the report.
     """
-    wanted = set(kinds) if kinds is not None else None
     children = tracer.children_index()
     paths: list[CriticalPath] = []
     open_roots = 0
     for root in tracer.span_roots():
-        if wanted is not None and root.name not in wanted:
-            continue
         if root.end is None:
             open_roots += 1
             continue
@@ -347,32 +377,15 @@ def verify_conservation(report: CritReport, tol: float = 1e-9
 
 def verify_against_attribution(tracer: "Tracer", report: CritReport,
                                tol: float = 1e-6) -> "list[str]":
-    """Cross-check the per-kind blame totals against attrib.py's sweep.
+    """Always ``[]``: kept only so existing importers keep working.
 
-    Both modules classify every instant of every completed request; they
-    must agree per kind and category to within ``tol`` seconds (the two
-    sweeps visit float boundaries in different orders).  Disagreement
-    means one of the sweeps mis-blamed time — returned as messages, one
-    per mismatched cell.
+    The attribution table *is* ``report.by_kind()``, so there is no
+    second sweep to disagree with.  Due for deletion with the next
+    change to the host-time benchmark (``perfbench/``), its last caller.
     """
-    attrib = attribution_table(tracer)
-    ours = report.by_kind()
-    problems = []
-    for kind in sorted(set(attrib) | set(ours)):
-        a_row, o_row = attrib.get(kind), ours.get(kind)
-        if a_row is None or o_row is None:
-            problems.append(f"{kind}: present in only one table "
-                            f"(attrib={a_row is not None})")
-            continue
-        for category in ATTRIBUTION_CATEGORIES:
-            a = a_row["categories"][category]
-            o = o_row["categories"][category]
-            if abs(a - o) > tol:
-                problems.append(f"{kind}/{category}: attrib={a!r} "
-                                f"critpath={o!r}")
-    return problems
+    return []
 
 
-__all__ = ["CritReport", "CriticalPath", "Segment", "critical_path",
-           "critical_paths", "span_category", "verify_against_attribution",
+__all__ = ["ATTRIBUTION_CATEGORIES", "CritReport", "CriticalPath", "Segment",
+           "critical_path", "critical_paths", "span_category",
            "verify_conservation"]

@@ -85,6 +85,19 @@ def test_open_roots_are_skipped():
     assert list(table) == ["write"]
 
 
+def test_open_child_span_is_clamped_and_counted():
+    # A wait still open when the trace was taken runs to its root's end,
+    # the same policy as the critical paths (the table is their sum).
+    tr = _tracer()
+    root = tr.record_span("read", 0.0, 10e-3)
+    leaked = tr.record_span("queue_wait", 2e-3, 3e-3, parent=root)
+    leaked.end = None
+    cats = attribution_table(tr)["read"]["categories"]
+    assert cats["cpu"] == pytest.approx(2e-3)
+    assert cats["queue_wait"] == pytest.approx(8e-3)
+    assert sum(cats.values()) == pytest.approx(10e-3)
+
+
 def test_mem_wait_maps_to_throttle_wait():
     tr = _tracer()
     root = tr.record_span("pageout", 0.0, 2.0)
